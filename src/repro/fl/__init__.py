@@ -23,13 +23,11 @@ from repro.fl.async_ import (
 )
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.env import FederatedEnv
-from repro.fl.hierarchical import HierarchicalAggregator, HierarchicalStrategy
 from repro.fl.selection import (
     PowerOfChoiceSelection,
     RoundRobinSelection,
     UniformSelection,
 )
-from repro.fl.server import FederatedServer
 from repro.fl.fairness import client_loss_stats, fairness_series
 from repro.fl.simulation import (
     EventRecord,
@@ -48,14 +46,11 @@ from repro.fl.strategies import (
     combine_updates,
     get_strategy,
 )
-from repro.fl.timing import Timer, measure_server_overhead
+from repro.fl.timing import measure_server_overhead
 from repro.fl.wire import (
     WIRE_CODECS,
-    CompressedClients,
     WireFormat,
     WirePayload,
-    compress_update,
-    decompress_update,
     get_codec,
 )
 
@@ -75,7 +70,6 @@ __all__ = [
     "STALENESS_POLICIES",
     "StalenessWeighting",
     "get_staleness_weighting",
-    "FederatedServer",
     "FederatedSimulation",
     "FLConfig",
     "History",
@@ -91,17 +85,11 @@ __all__ = [
     "combine_updates",
     "client_loss_stats",
     "fairness_series",
-    "Timer",
     "measure_server_overhead",
-    "CompressedClients",
-    "compress_update",
-    "decompress_update",
     "WIRE_CODECS",
     "WireFormat",
     "WirePayload",
     "get_codec",
-    "HierarchicalAggregator",
-    "HierarchicalStrategy",
     "UniformSelection",
     "RoundRobinSelection",
     "PowerOfChoiceSelection",

@@ -9,12 +9,14 @@ virtual-time order:
 2. Buffer the arrived update together with its staleness (how many
    aggregations happened since the job was dispatched).
 3. When the buffer holds ``buffer_size`` updates (``mode="fedbuff"``) or
-   on every arrival (``mode="fedasync"``), aggregate: the strategy's
-   impact factors are composed with a staleness decay, renormalized
-   inside :func:`~repro.fl.strategies.combine_updates`, and the global
-   model moves toward the buffered combination by a ``server_mix`` step
-   scaled by the buffer's average staleness factor (FedAsync's adaptive
-   alpha, generalized to buffers).
+   on every arrival (``mode="fedasync"``), aggregate through the shared
+   pipeline (:func:`repro.fl.pipeline.aggregate_window`, the same step a
+   synchronous round runs): the strategy's impact factors are composed
+   with a staleness decay and renormalized, and the global model moves
+   toward the buffered combination (or by its mean delta, for
+   ``server_mix="delta"``) by a ``server_mix`` step scaled by the
+   buffer's average staleness factor (FedAsync's adaptive alpha,
+   generalized to buffers).
 4. Refill the free slot by dispatching a new job against the *current*
    global weights.
 
@@ -37,7 +39,6 @@ round-trip — that is where parallel backends earn their keep.
 from __future__ import annotations
 
 import pickle
-import time
 
 import numpy as np
 
@@ -45,9 +46,9 @@ from repro.data.dataset import ArrayDataset
 from repro.fl.async_.events import ClientJob, EventQueue
 from repro.fl.async_.staleness import PolynomialStaleness, StalenessWeighting
 from repro.fl.client import Client, ClientUpdate
-from repro.fl.hierarchical import fold_edges
+from repro.fl.pipeline import aggregate_window, count_window, upload
 from repro.fl.simulation import EventRecord, FLConfig, History, RoundRecord
-from repro.fl.strategies.base import Strategy, combine_updates
+from repro.fl.strategies.base import Strategy
 from repro.fleet.columnar import FleetState
 from repro.fleet.scale import is_client_provider
 from repro.fleet.simulator import FleetSimulator
@@ -64,6 +65,7 @@ from repro.obs.trace import (
     CAT_WINDOW,
     Tracer,
 )
+from repro.runtime.checkpoint import restore_weights
 from repro.runtime.clock import VirtualClock, n_local_batches
 from repro.runtime.executor import Executor, RoundContext, SerialExecutor
 from repro.runtime.faults import FaultPlan, FaultStats, absorb_fault_stats
@@ -408,160 +410,24 @@ class AsyncFederatedServer:
         bytes_up: int = 0,
         bytes_down: int = 0,
     ) -> RoundRecord:
-        """One buffer flush: staleness-composed impact factors, eq. (4),
-        and a staleness-scaled server mixing step."""
+        """One buffer flush through the shared pipeline: staleness-composed
+        impact factors, eq. (4), and a staleness-scaled server mixing step."""
         updates = [u for _, u, _, _ in buffer]
-        stalenesses = [s for _, _, s, _ in buffer]
         factors = np.array([f for _, _, _, f in buffer])
-
-        w0 = time.time()
-        t0 = time.perf_counter()
-        # Hierarchical topology: fold the window into per-edge FedAvg
-        # pseudo-updates first.  Staleness factors and (delta-form)
-        # dispatch anchors fold with the same sample weights, so the
-        # cloud-level strategy — and any robust defense — runs over the
-        # edges exactly as it runs over clients in the flat topology.
-        agg_updates = updates
-        agg_factors = factors
-        anchors = shares = members = None
-        if self.topology == "hier":
-            agg_updates, agg_factors, anchors, shares, members = fold_edges(
-                updates, self.n_edges, factors=factors,
-                anchors=[job.global_weights for job, _, _, _ in buffer],
-            )
-        base = np.asarray(
-            self.strategy.impact_factors(agg_updates, agg_idx), dtype=float
+        window = aggregate_window(
+            updates, [job.global_weights for job, _, _, _ in buffer],
+            self.global_weights, self.strategy, agg_idx,
+            factors=factors, defense=self.defense,
+            n_edges=self.n_edges if self.topology == "hier" else None,
+            server_mix=self.server_mix, delta_mix=self.delta_mix,
         )
-        t1 = time.perf_counter()
-        alphas = base * agg_factors
-        total = float(alphas.sum())
-        agg_info = None
-        if not total > 0:
-            # Staleness decay (or a defense upstream) zeroed every update
-            # in the window: skip the mix step entirely — normalizing a
-            # zero-mass vector would NaN the arena.  The flush is still
-            # recorded (version advances, the window tiles the timeline).
-            mix = 0.0
-        else:
-            # FedAsync's adaptive alpha, generalized: the step size is
-            # server_mix scaled with the buffer's average staleness factor
-            # (base sums to 1, so the weighted mean is just alphas.sum()).
-            mix = min(1.0, self.server_mix * total)
-            if self.defense is not None:
-                # Robust rules act on deltas: the job's dispatch weights
-                # anchor the delta form, the current global weights the
-                # weight form (mixing toward w + combined is exactly the
-                # (1-mix)·w + mix·combined step of the mean path).
-                if self.delta_mix:
-                    if anchors is not None:
-                        rows = np.stack([
-                            u.weights - a for u, a in zip(agg_updates, anchors)
-                        ])
-                    else:
-                        rows = np.stack([
-                            u.weights - job.global_weights for job, u, _, _ in buffer
-                        ])
-                else:
-                    rows = (
-                        np.stack([u.weights for u in agg_updates])
-                        - self.global_weights
-                    )
-                # One vote per client per window: a fast client can land
-                # several updates in one buffer, so row-wise statistics
-                # would let a 20%-malicious fleet occupy half a flush
-                # simply by responding quickly.  Coalesce each client's
-                # rows (alpha-weighted, summing its alpha mass) so every
-                # robust estimator sees one voice per participant.  For
-                # the mean rule this is a no-op by associativity.
-                grouped: dict[int, list[int]] = {}
-                for pos, u in enumerate(agg_updates):
-                    grouped.setdefault(u.client_id, []).append(pos)
-                defense_clients = list(grouped)
-                voice_rows = []
-                voice_alphas = []
-                for positions in grouped.values():
-                    a = alphas[positions]
-                    mass = float(a.sum())
-                    if mass > 0:
-                        voice_rows.append(
-                            (a / mass).astype(rows.dtype, copy=False)
-                            @ rows[positions]
-                        )
-                    else:
-                        voice_rows.append(rows[positions].mean(axis=0))
-                    voice_alphas.append(mass)
-                combined, agg_info = self.defense.combine(
-                    np.stack(voice_rows), np.asarray(voice_alphas)
-                )
-                self.global_weights = self.global_weights + mix * combined
-            elif self.delta_mix:
-                # FedBuff's delta form: w <- w + eta * sum_i a_i (w_i - w_i^0),
-                # where w_i^0 is the model version the job was dispatched
-                # against (the edge's sample-weighted anchor under hier).
-                # Staleness decays the step through `mix` and the
-                # normalized per-update weights.
-                normalized = np.asarray(alphas, dtype=float)
-                normalized = normalized / normalized.sum()
-                if anchors is not None:
-                    deltas = np.stack([
-                        u.weights - a for u, a in zip(agg_updates, anchors)
-                    ])
-                else:
-                    deltas = np.stack([
-                        u.weights - job.global_weights for job, u, _, _ in buffer
-                    ])
-                combined_delta = normalized.astype(deltas.dtype, copy=False) @ deltas
-                self.global_weights = self.global_weights + mix * combined_delta
-            else:
-                combined = combine_updates(agg_updates, alphas, normalize=True)
-                self.global_weights = (1.0 - mix) * self.global_weights + mix * combined
-        t2 = time.perf_counter()
-        self.strategy.on_round_end(agg_updates, agg_idx)
-
-        if total > 0 and shares is not None:
-            # Effective per-client factors implied by (edge FedAvg) x
-            # (cloud alphas): cloud weight times within-edge sample share.
-            record_alphas = np.empty(len(updates))
-            for e, positions in enumerate(members):
-                for p in positions:
-                    record_alphas[p] = alphas[e] * shares[p]
-            mass = record_alphas.sum()
-            record_alphas = (
-                record_alphas / mass if mass > 0 else np.zeros(len(updates))
-            )
-        elif total > 0:
-            record_alphas = alphas / total
-        else:
-            record_alphas = np.zeros(len(updates))
-
+        self.global_weights = window.weights
         record = RoundRecord(
             round_idx=agg_idx,
-            participants=[u.client_id for u in updates],
-            impact_factors=record_alphas,
-            client_losses_before=np.array([u.loss_before for u in updates]),
-            client_losses_after=np.array([u.loss_after for u in updates]),
-            client_sizes=np.array([u.n_samples for u in updates]),
-            impact_time_s=t1 - t0,
-            aggregation_time_s=t2 - t1,
+            **window.record_fields(updates, self.attack),
             sim_makespan_s=now - last_agg_t,
-            staleness=stalenesses,
+            staleness=[s for _, _, s, _ in buffer],
             staleness_factors=[float(f) for f in factors],
-            malicious_selected=(
-                [u.client_id for u in updates if self.attack.is_malicious(u.client_id)]
-                if self.attack is not None else []
-            ),
-            rejected_updates=(
-                self._voice_clients(
-                    agg_info.rejected, defense_clients, updates, members
-                )
-                if agg_info is not None else []
-            ),
-            clipped_updates=(
-                self._voice_clients(
-                    agg_info.clipped, defense_clients, updates, members
-                )
-                if agg_info is not None else []
-            ),
             payload_bytes_up=bytes_up,
             payload_bytes_down=bytes_down,
             dense_bytes_up=(
@@ -569,7 +435,7 @@ class AsyncFederatedServer:
             ),
         )
         if self.tracer is not None:
-            self._trace_aggregation(record, now, last_agg_t, (w0, t0, t1, t2))
+            self._trace_aggregation(record, now, last_agg_t, window.wall)
         if self.test_set is not None and agg_idx % self.config.eval_every == 0:
             if self.tracer is not None:
                 with self.tracer.wall_span("evaluate", CAT_RUNTIME,
@@ -579,18 +445,6 @@ class AsyncFederatedServer:
                 self._evaluate(record)
         self.history.append(record)
         return record
-
-    @staticmethod
-    def _voice_clients(indices, defense_clients, updates, members) -> list[int]:
-        """Defense verdict voices → client ids.  Flat: a voice is one
-        client.  Hier: a voice is an edge, standing for every client
-        folded into it."""
-        if members is None:
-            return [defense_clients[i] for i in indices]
-        out: list[int] = []
-        for i in indices:
-            out.extend(updates[p].client_id for p in members[defense_clients[i]])
-        return out
 
     def _trace_aggregation(
         self,
@@ -619,19 +473,9 @@ class AsyncFederatedServer:
         m = tr.metrics
         m.inc("sim.aggregations")
         m.inc("sim.updates.aggregated", len(record.participants))
-        if self.attack is not None:
-            m.inc("sim.attack.malicious_aggregated", len(record.malicious_selected))
-        if self.defense is not None:
-            m.inc("sim.defense.updates_rejected", len(record.rejected_updates))
-            m.inc("sim.defense.updates_clipped", len(record.clipped_updates))
+        count_window(m, record, self.attack, self.defense, self.wire)
         m.observe("sim.window.span_s", record.sim_makespan_s)
         m.set_gauge("rt.fleet.state_bytes", self.fleet_state.nbytes)
-        if self.wire is not None:
-            m.inc("sim.wire.bytes_up", record.payload_bytes_up)
-            m.inc("sim.wire.bytes_down", record.payload_bytes_down)
-            m.set_gauge(
-                "sim.wire.compression_ratio", self.wire.stats.compression_ratio()
-            )
         for s in record.staleness or ():
             m.observe("sim.staleness", s)
         tr.maybe_snapshot(now)
@@ -775,23 +619,14 @@ class AsyncFederatedServer:
                 self.dropped_arrivals += 1
             else:
                 update = self._materialize(job, st["in_flight"], st["computed"])
-                if self.attack is not None:
-                    # The upload is poisoned in transit, relative to the
-                    # weights this job was dispatched against.
-                    update = self.attack.perturb(
-                        update, job.job_idx, job.global_weights
-                    )
-                if self.wire is not None:
-                    # Decode against the weights this job was dispatched
-                    # with — the same anchor delta-form mixing uses.  The
-                    # STREAM_WIRE cell is (job_idx, client), drawn here in
-                    # arrival order, itself a pure function of the seed.
-                    update, payload_bytes = self.wire.transmit(
-                        update, job.job_idx, job.global_weights
-                    )
-                    st["window_bytes_up"] = (
-                        st.get("window_bytes_up", 0) + payload_bytes
-                    )
+                # Poisoned and encoded against the weights this job was
+                # dispatched with — the same anchor delta-form mixing
+                # uses.  The seeded cells are (job_idx, client), drawn
+                # here in arrival order, itself a pure function of the seed.
+                update, payload_bytes = upload(
+                    update, job.job_idx, job.global_weights, self.attack, self.wire
+                )
+                st["window_bytes_up"] = st.get("window_bytes_up", 0) + payload_bytes
             del st["in_flight"][job.job_idx]
             st["idle"].add(job.client_id)
 
@@ -902,11 +737,11 @@ class AsyncFederatedServer:
             raise ValueError(
                 f"cannot restore {state.get('engine')!r} state into the async engine"
             )
+        self.global_weights = restore_weights(
+            state["global_weights"], self.global_weights
+        )
         self._loop = state["loop"]
         self.history = state["history"]
-        self.global_weights = np.asarray(
-            state["global_weights"], dtype=self.global_weights.dtype
-        )
         self.strategy = state["strategy"]
         self._dispatch_rng.bit_generator.state = state["dispatch_rng_state"]
         self.jobs_dispatched = state["jobs_dispatched"]
@@ -926,9 +761,8 @@ class AsyncFederatedServer:
 
     def checkpoint(self) -> dict:
         """Lightweight server checkpoint: weights + model-version counter
-        + mixing state.  The async counterpart of
-        :meth:`repro.fl.server.FederatedServer.checkpoint`; for full
-        kill-safe loop state use :meth:`snapshot_state`."""
+        + mixing state.  For full kill-safe loop state use
+        :meth:`snapshot_state`."""
         return {
             "global_weights": self.global_weights.copy(),
             "model_version": self._loop["version"] if self._loop is not None else 0,
@@ -938,16 +772,16 @@ class AsyncFederatedServer:
         }
 
     def load_checkpoint(self, state: dict) -> None:
-        """Inverse of :meth:`checkpoint`; dtype-portable like the sync path."""
+        """Inverse of :meth:`checkpoint`; dtype-portable like
+        :meth:`restore_state`."""
         if state.get("mode") != self.mode:
             raise ValueError(
                 f"checkpoint holds {state.get('mode')!r} state but this "
                 f"server runs {self.mode!r}"
             )
-        weights = np.asarray(state["global_weights"])
-        if weights.shape != self.global_weights.shape:
-            raise ValueError("checkpoint weight dimension mismatch")
-        self.global_weights = weights.astype(self.global_weights.dtype, copy=True)
+        self.global_weights = restore_weights(
+            state["global_weights"], self.global_weights
+        )
         if self._loop is None:
             self._loop = self._init_loop_state()
         self._loop["version"] = int(state["model_version"])

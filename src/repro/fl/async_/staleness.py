@@ -4,8 +4,9 @@ An update's *staleness* ``s`` is the number of aggregations the global
 model went through between the job's dispatch and its arrival: a fast
 device usually arrives at ``s = 0``, a straggler may arrive many versions
 late.  Each policy maps ``s`` to a multiplicative impact-factor decay in
-``(0, 1]``; the server composes it with the strategy's own impact factors
-and lets :func:`repro.fl.strategies.combine_updates` renormalize.
+``(0, 1]``; the aggregation pipeline
+(:func:`repro.fl.pipeline.aggregate_window`) composes it with the
+strategy's own impact factors and renormalizes.
 
 The shapes follow the async-FL literature (FedAsync's constant /
 polynomial / hinge family, reused by FedBuff): ``constant`` ignores

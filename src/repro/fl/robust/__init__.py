@@ -12,9 +12,10 @@ survive them:
   across execution backends.
 * :class:`RobustAggregator` replaces the impact-factor-weighted mean with
   coordinate-wise median, trimmed mean, Krum / multi-Krum, or norm
-  clipping — slotting in where :func:`~repro.fl.strategies.combine_updates`
-  runs today, in both the synchronous round loop and the async engine's
-  buffer flush (composing with staleness decay and ``server_mix="delta"``).
+  clipping — the defense stage of the aggregation pipeline
+  (:func:`repro.fl.pipeline.aggregate_window`), which both the
+  synchronous round loop and the async engine's buffer flush run
+  (composing with staleness decay and ``server_mix="delta"``).
 """
 
 from repro.fl.robust.aggregators import (

@@ -2,7 +2,9 @@
 
 :class:`FederatedSimulation` drives N clients through T communication
 rounds: sample K participants, broadcast the global weights, collect local
-updates, ask the strategy for impact factors, aggregate, and evaluate.
+updates, aggregate them through the shared pipeline
+(:mod:`repro.fl.pipeline` — impact factors, defense, eq. (4)), and
+evaluate.
 Per-round records capture everything the paper's figures need — test
 accuracy (Fig. 5/7/8), per-client inference-loss statistics (Fig. 6),
 impact factors, and the server-side timing split (Fig. 9).
@@ -25,15 +27,14 @@ counts toward the makespan, but the update never reaches aggregation.
 from __future__ import annotations
 
 import pickle
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.fl.client import Client, ClientUpdate
-from repro.fl.hierarchical import fold_edges
-from repro.fl.strategies.base import Strategy, combine_updates
+from repro.fl.pipeline import aggregate_window, count_window, upload
+from repro.fl.strategies.base import Strategy
 from repro.fleet.columnar import FleetState
 from repro.fleet.simulator import FleetSimulator
 from repro.nn.losses import SoftmaxCrossEntropy, evaluate_loss
@@ -50,6 +51,7 @@ from repro.obs.trace import (
     CAT_WINDOW,
     Tracer,
 )
+from repro.runtime.checkpoint import restore_weights
 from repro.runtime.clock import RoundTiming, VirtualClock, n_local_batches
 from repro.runtime.executor import Executor, RoundContext, SerialExecutor
 from repro.runtime.faults import FaultPlan, FaultStats, absorb_fault_stats
@@ -613,80 +615,37 @@ class FederatedSimulation:
             # executor dispatches; everything else stays virtual.
             self.clients.ensure(participants)
         updates = self.collect_updates(participants, round_idx, budgets)
-        if self.attack is not None:
-            # The upload leaves the device poisoned; timing is unchanged
-            # (a malicious client looks like any other on the wire).
-            updates = [
-                self.attack.perturb(u, round_idx, self.global_weights)
-                for u in updates
-            ]
         payload_up = payload_down = dense_up = 0
         if self.wire is not None:
-            # Each upload passes through the wire here, parent-side and in
-            # participant order — encoding draws its STREAM_WIRE cell per
-            # (round, client), so no executor schedule can reorder them.
-            # Error feedback is updated even for uploads a deadline later
-            # drops: the client-side encoding already happened.
             dim = self.global_weights.shape[0]
             dtype = self.global_weights.dtype
             payload_down = self.wire.record_downloads(len(participants), dim, dtype)
-            dense_each = self.wire.download_nbytes(dim, dtype)
-            transmitted = []
-            for u in updates:
-                u, nbytes = self.wire.transmit(u, round_idx, self.global_weights)
-                transmitted.append(u)
-                payload_up += nbytes
-                dense_up += dense_each
-            updates = transmitted
+            dense_up = len(updates) * self.wire.download_nbytes(dim, dtype)
+        # Each upload passes through the attack and the wire here,
+        # parent-side and in participant order — their seeded cells are
+        # keyed per (round, client), so no executor schedule can reorder
+        # them.  Error feedback is updated even for uploads a deadline
+        # later drops: the client-side encoding already happened.
+        uploaded = []
+        for u in updates:
+            u, nbytes = upload(u, round_idx, self.global_weights, self.attack, self.wire)
+            uploaded.append(u)
+            payload_up += nbytes
         updates, timing, batches = self._observe_clock(
-            round_idx, participants, updates, budgets
+            round_idx, participants, uploaded, budgets
         )
         sim_makespan = timing.makespan_s if timing is not None else None
         dropped = timing.dropped if timing is not None else []
         updates, conn_dropped = self._fleet_dropout(round_idx, updates)
-        kept = [u.client_id for u in updates]
         self.selector.observe(
-            kept, np.array([u.loss_before for u in updates])
+            [u.client_id for u in updates], np.array([u.loss_before for u in updates])
         )
-
-        w0 = time.time()
-        t0 = time.perf_counter()
-        # Hierarchical topology: fold updates into per-edge FedAvg
-        # aggregates; the strategy — and any robust defense — then runs at
-        # the cloud level over the edge aggregates, exactly as H-FL
-        # deploys it.  The flat path aggregates the raw updates.
-        agg_updates = updates
-        shares = members = None
-        if self.topology == "hier":
-            agg_updates, _, _, shares, members = fold_edges(updates, self.n_edges)
-        alphas = self.strategy.impact_factors(agg_updates, round_idx)
-        t1 = time.perf_counter()
-        agg_info = None
-        if self.defense is None:
-            self.global_weights = combine_updates(agg_updates, alphas)
-        else:
-            # Robust rules act on deltas relative to the round's global
-            # weights (translation-equivariant for median/Krum, essential
-            # for norm clipping); the combined delta is re-anchored here.
-            deltas = np.stack([u.weights for u in agg_updates]) - self.global_weights
-            combined, agg_info = self.defense.combine(deltas, alphas)
-            self.global_weights = self.global_weights + combined
-        t2 = time.perf_counter()
-        self.strategy.on_round_end(agg_updates, round_idx)
-        if shares is not None:
-            # Effective per-client factors implied by (edge FedAvg) x
-            # (cloud alphas): cloud weight times within-edge sample share.
-            edge_alpha = np.asarray(alphas, dtype=float)
-            expanded = np.empty(len(updates))
-            for e, positions in enumerate(members):
-                for p in positions:
-                    expanded[p] = edge_alpha[e] * shares[p]
-            total_alpha = expanded.sum()
-            if total_alpha > 0:
-                expanded /= total_alpha
-            record_alphas = expanded
-        else:
-            record_alphas = alphas
+        window = aggregate_window(
+            updates, [self.global_weights] * len(updates), self.global_weights,
+            self.strategy, round_idx, defense=self.defense,
+            n_edges=self.n_edges if self.topology == "hier" else None,
+        )
+        self.global_weights = window.weights
 
         work_fractions = {}
         if budgets is not None:
@@ -695,13 +654,7 @@ class FederatedSimulation:
             }
         record = RoundRecord(
             round_idx=round_idx,
-            participants=kept,
-            impact_factors=np.asarray(record_alphas),
-            client_losses_before=np.array([u.loss_before for u in updates]),
-            client_losses_after=np.array([u.loss_after for u in updates]),
-            client_sizes=np.array([u.n_samples for u in updates]),
-            impact_time_s=t1 - t0,
-            aggregation_time_s=t2 - t1,
+            **window.record_fields(updates, self.attack),
             # The round's simulated cost includes any time the server spent
             # waiting for an online client before it could even select.
             sim_makespan_s=None if sim_makespan is None else sim_makespan + wait_s,
@@ -710,18 +663,6 @@ class FederatedSimulation:
             wait_s=wait_s,
             connectivity_dropped=conn_dropped,
             work_fractions=work_fractions,
-            malicious_selected=(
-                [cid for cid in kept if self.attack.is_malicious(cid)]
-                if self.attack is not None else []
-            ),
-            rejected_updates=(
-                self._expand_edge_ids(agg_info.rejected, updates, members)
-                if agg_info is not None else []
-            ),
-            clipped_updates=(
-                self._expand_edge_ids(agg_info.clipped, updates, members)
-                if agg_info is not None else []
-            ),
             payload_bytes_up=payload_up,
             payload_bytes_down=payload_down,
             dense_bytes_up=dense_up,
@@ -729,7 +670,7 @@ class FederatedSimulation:
         if self._lazy:
             self.clients.release()
         if self.tracer is not None:
-            self._trace_round(record, timing, sim0, batches, (w0, t0, t1, t2))
+            self._trace_round(record, timing, sim0, batches, window.wall)
         if self.test_set is not None and (
             round_idx % self.config.eval_every == 0
             or round_idx == self.config.rounds - 1
@@ -744,21 +685,6 @@ class FederatedSimulation:
                 self._eval_into(record)
         self.history.append(record)
         return record
-
-    @staticmethod
-    def _expand_edge_ids(indices, updates, members) -> list[int]:
-        """Map defense verdict indices back to client ids.
-
-        Flat topology: index i names ``updates[i]`` directly.  Hier: the
-        defense judged edge aggregates, so a rejected/clipped edge stands
-        for every client folded into it.
-        """
-        if members is None:
-            return [updates[i].client_id for i in indices]
-        out: list[int] = []
-        for e in indices:
-            out.extend(updates[p].client_id for p in members[e])
-        return out
 
     def _eval_into(self, record: RoundRecord) -> None:
         self.model.set_flat_weights(self.global_weights)
@@ -803,21 +729,11 @@ class FederatedSimulation:
         m.inc("sim.updates.aggregated", len(record.participants))
         m.inc("sim.updates.dropped_deadline", len(record.dropped_clients))
         m.inc("sim.updates.dropped_connectivity", len(record.connectivity_dropped))
-        if self.attack is not None:
-            m.inc("sim.attack.malicious_aggregated", len(record.malicious_selected))
-        if self.defense is not None:
-            m.inc("sim.defense.updates_rejected", len(record.rejected_updates))
-            m.inc("sim.defense.updates_clipped", len(record.clipped_updates))
+        count_window(m, record, self.attack, self.defense, self.wire)
         if record.online_count is not None:
             m.set_gauge("sim.fleet.online", record.online_count)
         if self.fleet_state is not None:
             m.set_gauge("rt.fleet.state_bytes", self.fleet_state.nbytes)
-        if self.wire is not None:
-            m.inc("sim.wire.bytes_up", record.payload_bytes_up)
-            m.inc("sim.wire.bytes_down", record.payload_bytes_down)
-            m.set_gauge(
-                "sim.wire.compression_ratio", self.wire.stats.compression_ratio()
-            )
         if timing is None or sim0 is None:
             return
         tr.span("round", CAT_WINDOW, track="server",
@@ -916,12 +832,13 @@ class FederatedSimulation:
             raise ValueError(
                 f"cannot restore {state.get('engine')!r} state into the sync engine"
             )
-        self._next_round = state["next_round"]
         # Cast to the current compute dtype (dtype is fingerprinted at the
-        # harness level, but direct callers may legitimately move).
-        self.global_weights = np.asarray(
-            state["global_weights"], dtype=self.global_weights.dtype
+        # harness level, but direct callers may legitimately move); a
+        # wrong-sized vector raises before any other state is touched.
+        self.global_weights = restore_weights(
+            state["global_weights"], self.global_weights
         )
+        self._next_round = state["next_round"]
         self.history = state["history"]
         self.selector = state["selector"]
         self.strategy = state["strategy"]

@@ -3,9 +3,10 @@
 A strategy answers one question per round: *what impact factor does each
 participating client's model get?*  The actual weighted sum (eq. 4,
 ``w_{t+1} = W_t · alpha_t``) is identical for every method and lives in
-:func:`combine_updates`, so the simulation can time "impact-factor
-computation" (the DRL inference of Fig. 9) separately from "aggregation"
-(the big matrix-vector product).
+:func:`combine_updates`, so the aggregation pipeline
+(:mod:`repro.fl.pipeline`) can time "impact-factor computation" (the DRL
+inference of Fig. 9) separately from "aggregation" (the big
+matrix-vector product).
 """
 
 from __future__ import annotations
@@ -95,11 +96,6 @@ class Strategy:
     def impact_factors(self, updates: list[ClientUpdate], round_idx: int) -> np.ndarray:
         """Return the length-K impact-factor vector for this round."""
         raise NotImplementedError
-
-    def aggregate(self, updates: list[ClientUpdate], round_idx: int) -> np.ndarray:
-        """Full aggregation: impact factors then eq. (4)."""
-        alphas = self.impact_factors(updates, round_idx)
-        return combine_updates(updates, alphas)
 
     def client_kwargs(self) -> dict:
         """Extra keyword args passed to ``Client.local_train``."""

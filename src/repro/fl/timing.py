@@ -5,10 +5,6 @@ policy-network inference — costs milliseconds, dwarfed by the weighted
 aggregation itself for large models.  These helpers measure both pieces
 for any strategy, outside of a full simulation, so the Fig. 9 bench can
 sweep model sizes cheaply.
-
-Timing primitives live in :mod:`repro.obs.metrics` (one stopwatch
-implementation for the whole codebase); :class:`Timer` is re-exported
-here for its historical callers.
 """
 
 from __future__ import annotations
@@ -19,9 +15,7 @@ import numpy as np
 
 from repro.fl.client import ClientUpdate
 from repro.fl.strategies.base import Strategy, combine_updates
-from repro.obs.metrics import Histogram, Timer
-
-__all__ = ["Timer", "OverheadReport", "synthetic_updates", "measure_server_overhead"]
+from repro.obs import metrics
 
 
 @dataclass
@@ -58,11 +52,11 @@ def measure_server_overhead(
     """Time impact-factor computation and aggregation separately."""
     if repeats <= 0:
         raise ValueError("repeats must be positive")
-    impact, agg = Histogram(), Histogram()
+    impact, agg = metrics.Histogram(), metrics.Histogram()
     for r in range(repeats):
-        with Timer() as t_impact:
+        with metrics.Timer() as t_impact:
             alphas = strategy.impact_factors(updates, round_idx=r)
-        with Timer() as t_agg:
+        with metrics.Timer() as t_agg:
             combine_updates(updates, alphas)
         impact.observe(t_impact.elapsed)
         agg.observe(t_agg.elapsed)

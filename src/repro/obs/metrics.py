@@ -23,7 +23,8 @@ own — instruments are pure accumulators, so recording a metric can never
 perturb an experiment's RNG streams.
 
 :class:`Timer` is the codebase's one stopwatch (``perf_counter`` based);
-:mod:`repro.fl.timing` re-exports it for its historical callers.
+the aggregation pipeline (:mod:`repro.fl.pipeline`) records its Fig. 9
+impact/aggregation split with the same clock.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ import os
 import pickle
 import tempfile
 
+import numpy as np
+
 SNAPSHOT_SCHEMA = "repro-checkpoint/v1"
 
 
@@ -47,6 +49,22 @@ def load_snapshot(path: str) -> dict:
             f"(schema={payload.get('schema') if isinstance(payload, dict) else None!r})"
         )
     return payload
+
+
+def restore_weights(saved, current: np.ndarray) -> np.ndarray:
+    """A snapshot's global weights, cast into the engine's compute dtype.
+
+    Snapshots are dtype-portable (float64 weights load into a float32
+    engine and back) but not shape-portable: a vector sized for another
+    model raises here instead of failing later, mid-run.
+    """
+    weights = np.asarray(saved)
+    if weights.shape != current.shape:
+        raise ValueError(
+            f"global weight dimension mismatch: the snapshot holds "
+            f"{weights.size} weights, this engine's model has {current.shape[0]}"
+        )
+    return weights.astype(current.dtype, copy=True)
 
 
 class Checkpointer:

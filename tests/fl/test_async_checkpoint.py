@@ -144,3 +144,16 @@ class TestAsyncSnapshotRestore:
         with make_server(tiny_clients, tiny_model_factory, tiny_data) as server:
             with pytest.raises(ValueError, match="sync"):
                 server.restore_state({"engine": "sync"})
+
+    def test_restore_rejects_wrong_size(self, tiny_data, tiny_clients,
+                                        tiny_model_factory):
+        """A snapshot sized for another model raises at restore, before
+        any engine state changes — not later, mid-run."""
+        with make_server(tiny_clients, tiny_model_factory, tiny_data) as server:
+            state = server.snapshot_state()
+            state["global_weights"] = np.zeros(7)
+            state["loop"] = {"sentinel": True}
+            with pytest.raises(ValueError, match="dimension"):
+                server.restore_state(state)
+            assert server._loop is None
+            assert server.global_weights.shape != (7,)

@@ -177,13 +177,13 @@ class TestDtypePlumbing:
             assert u.weights.dtype == get_default_dtype()
 
     def test_decompress_accepts_integer_global_weights(self):
-        from repro.fl.compression import SparseUpdate, decompress_update
+        from repro.fl.client import ClientUpdate
+        from repro.fl.wire import TopKCodec, WireFormat
 
-        sparse = SparseUpdate(
-            client_id=0, indices=np.array([1, 3]), values=np.array([0.5, -0.5]),
-            dim=6, loss_before=1.0, loss_after=0.5, n_samples=2,
-        )
-        u = decompress_update(sparse, [0, 0, 0, 0, 0, 0])
+        wire = WireFormat(TopKCodec(2 / 6), base_seed=0, error_feedback=False)
+        upload = ClientUpdate(client_id=0, weights=[0, 0.5, 0, -0.5, 0, 0],
+                              loss_before=1.0, loss_after=0.5, n_samples=2)
+        u, _ = wire.transmit(upload, 0, [0, 0, 0, 0, 0, 0])
         assert u.weights.dtype.kind == "f"
         assert u.weights[1] == pytest.approx(0.5)
 
@@ -239,37 +239,47 @@ class TestForwardSeeding:
 
 
 class TestCheckpointPortability:
-    def _server(self, seed=0):
+    """Sync-engine snapshots load across compute dtypes by casting."""
+
+    def _engine(self, seed=0):
         from functools import partial
 
-        from repro.fl.server import FederatedServer
+        from repro.data.partition import iid_partition
+        from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
+        from repro.fl.client import make_clients
+        from repro.fl.simulation import FederatedSimulation, FLConfig
         from repro.fl.strategies import FedAvg
 
+        spec = SyntheticImageSpec(num_classes=4, channels=1, image_size=4)
+        train, _ = make_synthetic_dataset(spec, 40, 8, np.random.default_rng(0))
+        parts = iid_partition(train.y, 2, np.random.default_rng(1))
+        clients = make_clients(train, parts, seed=2)
         factory = partial(mlp, 16, 4, hidden=(8,))
-        return FederatedServer(factory, FedAvg(), seed=seed)
+        cfg = FLConfig(rounds=1, clients_per_round=2, seed=seed)
+        return FederatedSimulation(clients, None, factory, FedAvg(), cfg)
 
     def test_float64_checkpoint_loads_into_float32_server(self):
         with default_dtype("float64"):
-            src = self._server(seed=1)
-            state = src.state_dict()
+            src = self._engine(seed=1)
+            state = src.snapshot_state()
         assert state["global_weights"].dtype == np.float64
         with default_dtype("float32"):
-            dst = self._server(seed=2)
-            dst.load_state_dict(state)
+            dst = self._engine(seed=2)
+            dst.restore_state(state)
         assert dst.global_weights.dtype == np.float32
         np.testing.assert_allclose(
             dst.global_weights, state["global_weights"], rtol=1e-6, atol=1e-7
         )
-        assert dst.round_idx == state["round_idx"]
+        assert dst._next_round == state["next_round"]
 
     def test_float32_checkpoint_loads_into_float64_server(self):
         with default_dtype("float32"):
-            src = self._server(seed=3)
-            state = src.state_dict()
+            src = self._engine(seed=3)
+            state = src.snapshot_state()
         assert state["global_weights"].dtype == np.float32
         with default_dtype("float64"):
-            dst = self._server(seed=4)
-            dst.load_state_dict(state)
+            dst = self._engine(seed=4)
+            dst.restore_state(state)
         assert dst.global_weights.dtype == np.float64
         np.testing.assert_array_equal(
             dst.global_weights, state["global_weights"].astype(np.float64)

@@ -88,11 +88,6 @@ class TestRegistry:
 
 
 class TestTimingFold:
-    def test_fl_timing_reexports_obs_timer(self):
-        from repro.fl import timing
-
-        assert timing.Timer is Timer
-
     def test_measure_server_overhead_signature_kept(self):
         import numpy as np
 
