@@ -4,7 +4,9 @@ These are the hot paths of the substrate, so everything is expressed as
 batched NumPy array operations (no per-sample Python loops).  Convolutions
 use the im2col/col2im lowering: the input is unfolded into a matrix of
 receptive-field columns so the convolution becomes a single GEMM, which is
-the standard CPU strategy for small models.
+the standard CPU strategy for small models.  That lowering serves
+``Conv2D`` and ``AvgPool2D`` only; ``MaxPool2D`` works on strided views of
+its input and never builds the column matrix.
 """
 
 from __future__ import annotations
@@ -64,7 +66,11 @@ def im2col(
             f"kernel ({kh}x{kw}, stride={stride}, pad={pad}) too large for input {h}x{w}"
         )
     if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
+        # Slice-assign into zeros: same bytes as np.pad, without its
+        # per-call Python overhead, which dominates at these sizes.
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x = padded
     sn, sc, sh, sw = x.strides
     shape = (n, c, oh, ow, kh, kw)
     strides = (sn, sc, sh * stride, sw * stride, sh, sw)

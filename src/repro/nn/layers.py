@@ -181,39 +181,91 @@ class Conv2D(Layer):
         )
 
 
+def _maximum_keeps_second() -> bool:
+    """Whether ``np.maximum`` returns its second operand on equal operands.
+
+    NumPy leaves the choice open and only a ±0.0 tie makes it visible.
+    Its x86 SIMD loops return the second operand (``maxps`` semantics);
+    other loops may return the first, or always prefer +0.0.
+    """
+    ok = True
+    for dtype in (np.float32, np.float64):
+        neg = np.full(9, -0.0, dtype=dtype)[::2]  # strided, like pool views
+        pos = np.zeros(9, dtype=dtype)[::2]
+        ok &= not np.signbit(np.maximum(neg, pos)).any()
+        ok &= np.signbit(np.maximum(pos, neg)).all()
+    return bool(ok)
+
+
+_MAXIMUM_KEEPS_SECOND = _maximum_keeps_second()
+
+
 class MaxPool2D(Layer):
-    """Max pooling over non-overlapping (or strided) windows."""
+    """Max pooling over non-overlapping (or strided) windows.
+
+    Works on the k·k strided views ``x[:, :, i::s, j::s]`` (one per kernel
+    offset, cut to the output size), visited in row-major ``(i, j)``
+    order.  Forward folds them with ``np.maximum``, with the running max
+    as the operand it keeps on ties, so each output is the window's
+    *first* maximum, exactly as ``argmax`` picks it (±0.0 ties included).
+    Backward routes each gradient to the first offset whose value equals
+    the output, and accumulates offset by offset like ``col2im``, so
+    overlapping windows sum in the same order and a routed ``-0.0`` lands
+    as ``0.0 + -0.0``.  No window matrix is ever built.  (A window holding
+    NaN pools to NaN but sends its gradient to its last offset.)
+    """
 
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
-        self._x_shape: tuple[int, int, int, int] | None = None
-        self._argmax: np.ndarray | None = None
+        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
+    def _windows(self, shape: tuple[int, ...]) -> list[tuple]:
+        """The k·k offset slices of an (N, C, H, W) input, in row-major order."""
+        _, _, h, w = shape
         k, s = self.kernel_size, self.stride
         oh = F.conv_out_size(h, k, s, 0)
         ow = F.conv_out_size(w, k, s, 0)
-        cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)  # (N*C*OH*OW, k*k)
-        arg = cols.argmax(axis=1)
-        out = cols[np.arange(cols.shape[0]), arg]
-        if training:
-            self._x_shape = x.shape
-            self._argmax = arg
-        return out.reshape(n, c, oh, ow)
+        if oh <= 0 or ow <= 0:
+            raise ValueError(f"kernel ({k}x{k}, stride={s}) too large for input {h}x{w}")
+        return [
+            (Ellipsis, slice(i, i + s * (oh - 1) + 1, s), slice(j, j + s * (ow - 1) + 1, s))
+            for i in range(k)
+            for j in range(k)
+        ]
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        windows = self._windows(x.shape)
+        out = x[windows[0]].copy()
+        for win in windows[1:]:
+            view = x[win]
+            if _MAXIMUM_KEEPS_SECOND:
+                np.maximum(view, out, out=out)
+            else:  # argmax's order on any platform: NaN highest, first wins ties
+                np.copyto(out, view, where=~(view <= out) & ~np.isnan(out))
+        self._cache = (x, out) if training else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x_shape is None or self._argmax is None:
+        if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
-        n, c, h, w = self._x_shape
-        k, s = self.kernel_size, self.stride
-        gflat = grad.reshape(-1)
-        cols = np.zeros((gflat.shape[0], k * k), dtype=grad.dtype)
-        cols[np.arange(gflat.shape[0]), self._argmax] = gflat
-        gx = F.col2im(cols, (n * c, 1, h, w), k, k, s, 0)
-        return gx.reshape(n, c, h, w)
+        x, out = self._cache
+        windows = self._windows(x.shape)
+        gx = np.zeros(x.shape, dtype=grad.dtype)
+        # Multiplying the gradient's bit patterns by a hit mask is
+        # ``np.where(hit, grad, 0)`` bit for bit (NaN, inf and -0.0
+        # included), at a fraction of its cost.
+        bits = grad.view(f"u{grad.itemsize}")
+        free = np.ones(out.shape, dtype=bool)  # outputs not yet routed
+        for win in windows[:-1]:
+            hit = x[win] == out
+            hit &= free
+            free ^= hit
+            gx[win] += (bits * hit).view(grad.dtype)
+        # Every window attains its max somewhere: what is left goes last.
+        gx[windows[-1]] += (bits * free).view(grad.dtype)
+        return gx
 
 
 class AvgPool2D(Layer):

@@ -157,6 +157,16 @@ class TestPooling:
         x = rng.permutation(36).astype(float).reshape(1, 1, 6, 6)
         check_input_grad(MaxPool2D(2), x, tol=1e-3)
 
+    def test_maxpool_backward_after_eval_forward_raises(self, rng):
+        """An eval forward drops the training cache, as Conv2D and Dense
+        do, instead of leaving backward to route by a stale batch."""
+        layer = MaxPool2D(2)
+        x = rng.normal(size=(4, 3, 8, 8))
+        layer.forward(x, training=True)
+        out = layer.forward(x, training=False)
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(out))
+
     def test_avgpool_values(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
         out = AvgPool2D(2).forward(x)

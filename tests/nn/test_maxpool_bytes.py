@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
+from repro.nn import layers
 from repro.nn.layers import MaxPool2D
 
 
@@ -58,16 +59,7 @@ def geometries(draw):
     return n, c, h, w, k, s
 
 
-@given(
-    geom=geometries(),
-    dtype=st.sampled_from([np.float32, np.float64]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=150, deadline=None)
-def test_byte_identical_to_im2col_reference(geom, dtype, seed):
-    n, c, h, w, k, s = geom
-    rng = np.random.default_rng(seed)
-    x = quantized(rng, (n, c, h, w), dtype)
+def assert_matches_reference(x, k, s, rng):
     ref_out, arg = reference_forward(x, k, s)
 
     layer = MaxPool2D(k, stride=s)
@@ -78,25 +70,62 @@ def test_byte_identical_to_im2col_reference(geom, dtype, seed):
     train_out = layer.forward(x, training=True)
     assert train_out.tobytes() == ref_out.tobytes()
 
-    grad = quantized(rng, ref_out.shape, dtype)
+    grad = quantized(rng, ref_out.shape, x.dtype)
     gx = layer.backward(grad)
     ref_gx = reference_backward(grad, x.shape, arg, k, s)
     assert gx.dtype == ref_gx.dtype and gx.shape == ref_gx.shape
     assert gx.tobytes() == ref_gx.tobytes()
 
 
+@given(
+    geom=geometries(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_byte_identical_to_im2col_reference(geom, dtype, seed):
+    n, c, h, w, k, s = geom
+    rng = np.random.default_rng(seed)
+    assert_matches_reference(quantized(rng, (n, c, h, w), dtype), k, s, rng)
+
+
+def test_fallback_fold_byte_identical(monkeypatch, rng):
+    """The strict-compare fold, used where np.maximum does not return its
+    second operand on ties, matches the reference too."""
+    monkeypatch.setattr(layers, "_MAXIMUM_KEEPS_SECOND", False)
+    for k, s in [(1, 1), (2, 2), (2, 1), (3, 2), (2, 3), (3, 3)]:
+        for dtype in (np.float32, np.float64):
+            assert_matches_reference(quantized(rng, (2, 3, 7, 8), dtype), k, s, rng)
+
+
+@pytest.mark.parametrize("keeps_second", [True, False])
+def test_nan_windows_pool_like_argmax(monkeypatch, keeps_second, rng):
+    """argmax ranks NaN above every number, so a window holding NaN pools
+    to NaN on both folds."""
+    if keeps_second and not layers._MAXIMUM_KEEPS_SECOND:
+        pytest.skip("np.maximum keeps its first operand on ties here")
+    monkeypatch.setattr(layers, "_MAXIMUM_KEEPS_SECOND", keeps_second)
+    for dtype in (np.float32, np.float64):
+        x = quantized(rng, (2, 3, 7, 8), dtype)
+        x[rng.random(x.shape) < 0.1] = np.nan
+        for k, s in [(2, 2), (3, 1), (2, 3)]:
+            ref_out, _ = reference_forward(x, k, s)
+            assert MaxPool2D(k, stride=s).forward(x).tobytes() == ref_out.tobytes()
+
+
 def test_signed_zero_ties_follow_first_max():
-    """A window of {-0.0, +0.0} pools to its first element, and a routed
-    -0.0 gradient lands as +0.0 (0.0 + -0.0), as in the reference."""
-    x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]]])
+    """A window of tied zeros pools to its first element's sign, and a
+    routed -0.0 gradient lands as +0.0 (0.0 + -0.0), as in the reference."""
+    x = np.array([[[[-0.0, 0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0]]]])
+    grad = np.array([[[[-0.0, -0.0]]]])
     layer = MaxPool2D(2)
     out = layer.forward(x, training=True)
-    assert np.signbit(out).all()
-    gx = layer.backward(np.array([[[[-0.0]]]]))
+    assert np.signbit(out).tolist() == [[[[True, False]]]]
+    gx = layer.backward(grad)
+    assert not np.signbit(gx).any()
     ref_out, arg = reference_forward(x, 2, 2)
     assert out.tobytes() == ref_out.tobytes()
-    assert gx.tobytes() == reference_backward(np.array([[[[-0.0]]]]), x.shape, arg, 2, 2).tobytes()
-    assert not np.signbit(gx).any()
+    assert gx.tobytes() == reference_backward(grad, x.shape, arg, 2, 2).tobytes()
 
 
 @pytest.mark.parametrize("k,s,size", [(5, 1, 4), (3, 2, 2), (4, 4, 3)])
