@@ -181,33 +181,16 @@ class Conv2D(Layer):
         )
 
 
-def _maximum_keeps_second() -> bool:
-    """Whether ``np.maximum`` returns its second operand on equal operands.
-
-    NumPy leaves the choice open and only a ±0.0 tie makes it visible.
-    Its x86 SIMD loops return the second operand (``maxps`` semantics);
-    other loops may return the first, or always prefer +0.0.
-    """
-    ok = True
-    for dtype in (np.float32, np.float64):
-        neg = np.full(9, -0.0, dtype=dtype)[::2]  # strided, like pool views
-        pos = np.zeros(9, dtype=dtype)[::2]
-        ok &= not np.signbit(np.maximum(neg, pos)).any()
-        ok &= np.signbit(np.maximum(pos, neg)).all()
-    return bool(ok)
-
-
-_MAXIMUM_KEEPS_SECOND = _maximum_keeps_second()
-
-
 class MaxPool2D(Layer):
     """Max pooling over non-overlapping (or strided) windows.
 
     Works on the k·k strided views ``x[:, :, i::s, j::s]`` (one per kernel
     offset, cut to the output size), visited in row-major ``(i, j)``
-    order.  Forward folds them with ``np.maximum``, with the running max
-    as the operand it keeps on ties, so each output is the window's
-    *first* maximum, exactly as ``argmax`` picks it (±0.0 ties included).
+    order.  Forward folds them with ``np.maximum``, passing the running
+    max second: NumPy's loops return the second operand on ties, so each
+    output is the window's *first* maximum, exactly as ``argmax`` picks
+    it (±0.0 ties included; ``tests/nn/test_maxpool_bytes.py`` fails on
+    a NumPy build with another tie rule).
     Backward routes each gradient to the first offset whose value equals
     the output, and accumulates offset by offset like ``col2im``, so
     overlapping windows sum in the same order and a routed ``-0.0`` lands
@@ -239,11 +222,7 @@ class MaxPool2D(Layer):
         windows = self._windows(x.shape)
         out = x[windows[0]].copy()
         for win in windows[1:]:
-            view = x[win]
-            if _MAXIMUM_KEEPS_SECOND:
-                np.maximum(view, out, out=out)
-            else:  # argmax's order on any platform: NaN highest, first wins ties
-                np.copyto(out, view, where=~(view <= out) & ~np.isnan(out))
+            np.maximum(x[win], out, out=out)
         self._cache = (x, out) if training else None
         return out
 

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
-from repro.nn import layers
 from repro.nn.layers import MaxPool2D
 
 
@@ -89,28 +88,22 @@ def test_byte_identical_to_im2col_reference(geom, dtype, seed):
     assert_matches_reference(quantized(rng, (n, c, h, w), dtype), k, s, rng)
 
 
-def test_fallback_fold_byte_identical(monkeypatch, rng):
-    """The strict-compare fold, used where np.maximum does not return its
-    second operand on ties, matches the reference too."""
-    monkeypatch.setattr(layers, "_MAXIMUM_KEEPS_SECOND", False)
-    for k, s in [(1, 1), (2, 2), (2, 1), (3, 2), (2, 3), (3, 3)]:
-        for dtype in (np.float32, np.float64):
-            assert_matches_reference(quantized(rng, (2, 3, 7, 8), dtype), k, s, rng)
-
-
-@pytest.mark.parametrize("keeps_second", [True, False])
-def test_nan_windows_pool_like_argmax(monkeypatch, keeps_second, rng):
+def test_nan_windows_pool_like_argmax(rng):
     """argmax ranks NaN above every number, so a window holding NaN pools
-    to NaN on both folds."""
-    if keeps_second and not layers._MAXIMUM_KEEPS_SECOND:
-        pytest.skip("np.maximum keeps its first operand on ties here")
-    monkeypatch.setattr(layers, "_MAXIMUM_KEEPS_SECOND", keeps_second)
+    to NaN.  Its gradient goes to the window's last offset (the old
+    kernel sent it to the first NaN): no offset compares equal to NaN."""
     for dtype in (np.float32, np.float64):
         x = quantized(rng, (2, 3, 7, 8), dtype)
         x[rng.random(x.shape) < 0.1] = np.nan
         for k, s in [(2, 2), (3, 1), (2, 3)]:
-            ref_out, _ = reference_forward(x, k, s)
-            assert MaxPool2D(k, stride=s).forward(x).tobytes() == ref_out.tobytes()
+            ref_out, arg = reference_forward(x, k, s)
+            layer = MaxPool2D(k, stride=s)
+            assert layer.forward(x, training=True).tobytes() == ref_out.tobytes()
+            assert np.isnan(ref_out).any()
+            grad = quantized(rng, ref_out.shape, dtype)
+            last = np.where(np.isnan(ref_out).reshape(-1), k * k - 1, arg)
+            expected = reference_backward(grad, x.shape, last, k, s)
+            assert layer.backward(grad).tobytes() == expected.tobytes()
 
 
 def test_signed_zero_ties_follow_first_max():
