@@ -1,8 +1,9 @@
 """``repro.harness`` — experiment configs, runners, tables and figures.
 
-Maps every artifact in the paper's evaluation to a regenerating function;
-see DESIGN.md §4 for the experiment index.  The benches under
-``benchmarks/`` are thin wrappers over this package.
+Maps every artifact in the paper's evaluation (Tables 3-4, Figs. 4-10) to
+a regenerating function.  The benches under ``benchmarks/`` (one
+``test_table*``/``test_fig*`` file per artifact) are thin wrappers over
+this package.
 """
 
 from repro.harness.ablations import (

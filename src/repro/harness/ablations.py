@@ -1,4 +1,4 @@
-"""Ablations of FedDRL's design choices (DESIGN.md experiment A1).
+"""Ablations of FedDRL's design choices (run by ``benchmarks/test_ablations.py``).
 
 The paper motivates four design decisions without isolating them:
 TD-prioritised replay (Algorithm 1), the two-stage training strategy

@@ -4,18 +4,24 @@ The paper runs 1000 communication rounds of GPU training; a CPU NumPy
 reproduction sweeps the same grid at reduced *scale presets*:
 
 * ``ci`` — seconds per experiment; used by the test suite.
-* ``bench`` — tens of seconds; used by the benchmark harness that
-  regenerates the tables/figures (EXPERIMENTS.md records these numbers).
+* ``bench`` — tens of seconds; used by the benchmark harness under
+  ``benchmarks/`` that regenerates the tables/figures.
 * ``paper`` — the paper's nominal parameters (1000 rounds, full model);
   provided for completeness, expect hours on CPU.
 
 Scale changes rounds/data/model size only — never the algorithms — so the
-*shape* of the comparisons is preserved (see DESIGN.md §2).
+*shape* of the comparisons is preserved: every method in a comparison
+runs on the same data, partition and round budget.
+
+A field declared with :func:`flag` is also a ``python -m repro`` option:
+its metadata holds the option spelling, help text and, for enumerated
+fields, the ``choices`` that ``__post_init__`` validates against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import argparse
+from dataclasses import dataclass, field, fields, replace
 
 from repro.fl.async_ import (
     AGGREGATION_MODES,
@@ -33,37 +39,6 @@ from repro.runtime import (
     DEADLINE_POLICIES,
     LATENCY_MODELS,
 )
-
-VALID_DATASETS = ("mnist", "fashion", "cifar100")
-VALID_DTYPES = SUPPORTED_DTYPES
-VALID_PARTITIONS = ("IID", "PA", "CE", "CN", "EQUAL", "NONEQUAL")
-VALID_METHODS = ("fedavg", "fedprox", "feddrl", "singleset")
-# Runtime vocabularies are owned by repro.runtime; "none" = no virtual clock.
-VALID_BACKENDS = BACKENDS
-VALID_LATENCY_MODELS = ("none", *LATENCY_MODELS)
-VALID_DEADLINE_POLICIES = DEADLINE_POLICIES
-# Aggregation protocols: the synchronous round loop, or the async engine's
-# buffered (fedbuff) / per-arrival (fedasync) modes (repro.fl.async_).
-VALID_AGGREGATIONS = ("sync", *AGGREGATION_MODES)
-VALID_STALENESS = STALENESS_POLICIES
-# Fleet-behavior vocabularies (repro.fleet): availability models and the
-# async engine's dispatch policies.
-VALID_AVAILABILITY = AVAILABILITY_MODELS
-VALID_DISPATCH = DISPATCH_POLICIES
-# Adversarial-fleet vocabularies (repro.fl.robust): attack models and
-# robust aggregation rules; "none" = honest fleet, "mean" = the classic
-# impact-factor-weighted mean.
-VALID_ATTACKS = ("none", *ATTACK_MODELS)
-VALID_AGGREGATORS = ROBUST_AGGREGATORS
-# Aggregation topology (repro.fl.hierarchical) and client materialization
-# (repro.fleet.scale).
-VALID_TOPOLOGIES = ("flat", "hier")
-VALID_FLEET_MODES = ("eager", "lazy")
-# Wire subsystem vocabularies (repro.fl.wire): upload codecs and the
-# bandwidth models that turn payload bytes into comm seconds; "none" =
-# fixed upload_s/download_s constants (the historical clock).
-VALID_CODECS = WIRE_CODECS
-VALID_BANDWIDTH_MODELS = ("none", *BANDWIDTH_MODELS)
 
 
 @dataclass(frozen=True)
@@ -98,23 +73,54 @@ SCALES: dict[str, ScalePreset] = {
 }
 
 
+def flag(option: str, help: str, *, default, choices=None, parse=None):
+    """A config field that ``python -m repro`` exposes as `option`.
+
+    `choices` restricts the value (checked in ``__post_init__`` and by
+    the parser); `parse` replaces the argparse converter derived from the
+    field's type.
+    """
+    return field(default=default, metadata={
+        "flag": option, "help": help, "choices": choices, "parse": parse,
+    })
+
+
+def _server_mix(value: str):
+    """--server-mix accepts a float step or the literal 'delta'."""
+    if value == DELTA_MIX:
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a float in (0, 1] or 'delta', got {value!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One cell of the paper's evaluation grid."""
 
-    dataset: str = "mnist"
-    partition: str = "CE"
-    method: str = "fedavg"
-    n_clients: int = 10
-    clients_per_round: int = 10
-    scale: str = "ci"
-    delta: float = 0.6  # non-IID level for CE/CN (Fig. 8 sweeps this)
+    dataset: str = flag("--dataset", "synthetic stand-in to train on",
+                        default="mnist", choices=("mnist", "fashion", "cifar100"))
+    partition: str = flag("--partition", "non-IID partitioning scheme", default="CE",
+                          choices=("IID", "PA", "CE", "CN", "EQUAL", "NONEQUAL"))
+    method: str = flag("--method", "aggregation strategy (or centralized baseline)",
+                       default="fedavg",
+                       choices=("fedavg", "fedprox", "feddrl", "singleset"))
+    n_clients: int = flag("--clients", "population size N", default=10)
+    clients_per_round: int = flag("--per-round", "participants K", default=10)
+    scale: str = flag("--scale", "size preset: ci / bench / paper-nominal",
+                      default="ci", choices=tuple(sorted(SCALES)))
+    # Non-IID level for CE/CN (Fig. 8 sweeps this).
+    delta: float = flag("--delta", "cluster-skew level for CE/CN", default=0.6)
     labels_per_client: int | None = None  # None -> paper default per dataset
     lr: float = 0.01
     prox_mu: float = 0.01
-    seed: int = 0
+    seed: int = flag("--seed", "experiment RNG seed", default=0)
     # Scale overrides (None -> take from the preset).
-    rounds: int | None = None
+    rounds: int | None = flag("--rounds", "override the scale preset's round count",
+                              default=None)
     n_train: int | None = None
     n_test: int | None = None
     local_epochs: int | None = None
@@ -124,8 +130,7 @@ class ExperimentConfig:
     # FedDRL knobs.  beta follows eq. (6); gamma/noise/updates are tuned for
     # the CPU-scale round counts used here (Table 1's gamma=0.99 targets
     # 1000-round runs; a shorter effective horizon and more agent updates
-    # per round compensate for having ~30x fewer transitions).  DESIGN.md
-    # and EXPERIMENTS.md record this adjustment.
+    # per round compensate for having ~30x fewer transitions).
     drl_beta: float = 0.5
     drl_explore: bool = True
     drl_prioritized: bool = True
@@ -136,137 +141,196 @@ class ExperimentConfig:
     # Two-stage pretraining (Section 3.4.2): number of online rounds each
     # worker runs before the main agent is trained offline and deployed.
     # 0 disables pretraining (basic training only, Algorithm 1).
-    drl_pretrain_rounds: int = 0
+    drl_pretrain_rounds: int = flag(
+        "--pretrain", "two-stage pretraining rounds per worker (feddrl)", default=0)
     drl_pretrain_workers: int = 2
     drl_offline_updates: int = 200
     # Runtime: execution backend and virtual-clock device simulation (see
     # repro.runtime).  All backends are bit-identical for a given seed;
     # latency_model="none" disables the virtual clock entirely.
-    backend: str = "serial"
-    workers: int | None = None
-    latency_model: str = "none"
-    # Substrate compute dtype (repro.nn.dtypes).  float64 (the default) is
-    # bit-identical to the historical all-float64 path; float32 halves
-    # memory bandwidth and the process-backend IPC payload.
-    dtype: str = "float64"
-    straggler_fraction: float = 0.0
-    straggler_slowdown: float = 8.0
-    deadline_s: float | None = None
-    deadline_policy: str = "wait"
+    backend: str = flag("--backend", "client-execution backend (bit-identical results)",
+                        default="serial", choices=BACKENDS)
+    workers: int | None = flag(
+        "--workers", "worker count for thread/process backends (default: CPU count)",
+        default=None)
+    latency_model: str = flag("--latency-model", "virtual-clock device latency model",
+                              default="none", choices=("none", *LATENCY_MODELS))
+    # Substrate compute dtype (repro.nn.dtypes).
+    dtype: str = flag(
+        "--dtype", "substrate compute dtype; float32 halves memory bandwidth and "
+        "IPC payload, float64 (default) matches historical results bit-for-bit",
+        default="float64", choices=SUPPORTED_DTYPES)
+    straggler_fraction: float = flag(
+        "--straggler-fraction", "fraction of simulated devices that straggle",
+        default=0.0)
+    straggler_slowdown: float = flag(
+        "--straggler-slowdown", "slowdown factor applied to straggler devices",
+        default=8.0)
+    deadline_s: float | None = flag(
+        "--deadline", "simulated round deadline in seconds", default=None)
+    deadline_policy: str = flag(
+        "--deadline-policy", "wait for stragglers or drop their updates",
+        default="wait", choices=DEADLINE_POLICIES)
     # Asynchronous aggregation (repro.fl.async_).  "sync" keeps the
-    # classic per-round barrier; "fedbuff" aggregates whenever buffer_size
-    # updates have arrived in virtual time; "fedasync" on every arrival.
-    # Async modes need a latency_model (arrival order *is* device timing)
-    # and run the same total local-work budget as sync (rounds x K jobs).
-    aggregation: str = "sync"
-    buffer_size: int = 5
-    max_concurrency: int | None = None  # None -> clients_per_round
-    staleness: str = "polynomial"
-    # Server mixing step: a float in (0, 1], "delta" for FedBuff's
-    # delta-based update (w <- w + eta * mean of client deltas), or None
-    # for the mode default (1.0 fedbuff / 0.6 fedasync).
-    server_mix: float | str | None = None
-    # Fleet behavior (repro.fleet): dynamic availability churn, mid-round
-    # connectivity dropout, and partial local work.  "always" + zero
-    # dropout + completeness 1.0 disables the fleet entirely; anything
-    # else needs a latency_model (fleet behavior evolves over the virtual
-    # clock).  `dispatch` picks the async engine's slot-assignment policy.
-    availability: str = "always"
-    offline_fraction: float = 0.2
-    churn_rate: float = 0.5
-    dropout_prob: float = 0.0
-    completeness: float = 1.0
-    dispatch: str = "random"
-    # Aggregation topology (repro.fl.hierarchical): "flat" sends every
-    # update straight to the cloud; "hier" folds each round (sync) or
-    # buffer window (async) into n_edges edge-server FedAvg aggregates
-    # first, and the cloud strategy/defense runs over the edges (H-FL).
-    topology: str = "flat"
-    n_edges: int = 2
-    # Client materialization (repro.fleet.scale): "eager" builds every
-    # Client object up front (the historical path); "lazy" keeps the
-    # population virtual and materializes only each round's sampled
-    # participants (bit-identical histories, O(K) resident clients).
-    fleet_mode: str = "eager"
-    # Adversarial fleet (repro.fl.robust): `attack` marks a seeded
-    # malicious_fraction of clients malicious and poisons their data
-    # (label_flip, backdoor) or their submitted updates (sign_flip,
-    # scale, ipm); attack_scale amplifies update perturbations (and, for
-    # backdoor, boosts the poisoned upload when > 1).  `aggregator`
-    # selects the server's combination rule — "mean" keeps the classic
-    # weighted mean, the rest are robust defenses that compose with
-    # staleness decay and server_mix="delta".
-    attack: str = "none"
-    malicious_fraction: float = 0.2
-    attack_scale: float = 1.0
-    aggregator: str = "mean"
-    # Observability (repro.obs): trace=PATH streams spans/metrics to a
-    # JSONL trace (plus a Chrome trace and a run manifest next to it);
-    # None disables tracing entirely (no-op at every call site).
-    # metrics_interval > 0 snapshots the metrics registry into the trace
-    # every that-many simulated seconds.
-    trace: str | None = None
-    metrics_interval: float = 0.0
-    # Fault tolerance (repro.runtime.faults): seeded per-(round|job, client)
-    # fault injection — a cell's *first* attempt crashes / raises / blips /
-    # hangs with the given probabilities — plus the parent-side recovery
-    # knobs (per-task timeout, bounded retry).  All-zero probabilities keep
-    # every backend on the historical fault-free path.
-    fault_crash_prob: float = 0.0
-    fault_exception_prob: float = 0.0
-    fault_transient_prob: float = 0.0
-    fault_hang_prob: float = 0.0
-    fault_hang_s: float = 0.05
-    task_timeout_s: float | None = None
-    max_retries: int = 3
-    # Kill-safe checkpoint/resume (repro.runtime.checkpoint): atomic
-    # snapshots of full run state every checkpoint_every rounds (sync) or
-    # aggregation flushes (async); resume=PATH restores and continues,
-    # bit-identical to an uninterrupted run.
-    checkpoint_path: str | None = None
-    checkpoint_every: int = 1
-    resume: str | None = None
-    # Wire-efficient uploads (repro.fl.wire): `codec` compresses the
-    # client→server delta ("dense" = uncompressed passthrough; topk /
-    # qsgd{4,8} / topk+qsgd{4,8} are lossy with per-client error-feedback
-    # residuals unless error_feedback=False).  `bandwidth_model` gives
-    # each client an up/down link (megabits per second) so the clock
-    # charges comm_s = payload_bytes / bandwidth instead of the fixed
-    # constants; "none" keeps the byte-blind historical clock.
-    # straggler_comm_slowdown decouples a straggler's link slowdown from
-    # its compute slowdown (None -> same factor, the legacy behavior).
-    codec: str = "dense"
-    topk_frac: float = 0.01
-    quant_bits: int = 8
-    error_feedback: bool = True
-    bandwidth_model: str = "none"
-    up_mbps: float = 1.0
-    down_mbps: float = 10.0
-    straggler_comm_slowdown: float | None = None
+    # classic per-round barrier.  Async modes need a latency_model (arrival
+    # order *is* device timing) and run the same total local-work budget
+    # as sync (rounds x K jobs).
+    aggregation: str = flag(
+        "--aggregation", "synchronous rounds, or the event-driven async engine: "
+        "fedbuff aggregates every --buffer-size arrivals, fedasync on every "
+        "arrival (needs --latency-model)",
+        default="sync", choices=("sync", *AGGREGATION_MODES))
+    buffer_size: int = flag(
+        "--buffer-size", "fedbuff: arrived updates per aggregation", default=5)
+    max_concurrency: int | None = flag(
+        "--max-concurrency", "async: max client jobs in flight (default: --per-round)",
+        default=None)
+    staleness: str = flag("--staleness", "async staleness-decay on impact factors",
+                          default="polynomial", choices=STALENESS_POLICIES)
+    server_mix: float | str | None = flag(
+        "--server-mix", "async server mixing step in (0, 1], or 'delta' for "
+        "FedBuff's delta-based update (default: 1.0 fedbuff / 0.6 fedasync)",
+        default=None, parse=_server_mix)
+    # Fleet behavior (repro.fleet): "always" + zero dropout + completeness
+    # 1.0 disables the fleet entirely; anything else needs a latency_model
+    # (fleet behavior evolves over the virtual clock).
+    availability: str = flag(
+        "--availability", "fleet availability model: who is online as simulated "
+        "time advances (needs --latency-model)",
+        default="always", choices=AVAILABILITY_MODELS)
+    offline_fraction: float = flag(
+        "--offline-fraction", "mean offline fraction for the availability model",
+        default=0.2)
+    churn_rate: float = flag(
+        "--churn-rate", "markov availability: on/off switching intensity "
+        "(mean session length ~ 1/rate slots)", default=0.5)
+    dropout_prob: float = flag(
+        "--dropout-prob", "per-(round, client) mid-round dropout: the update is "
+        "lost after its compute time is paid", default=0.0)
+    completeness: float = flag(
+        "--completeness", "minimum fraction of the local batch budget a client "
+        "runs (sampled per round from [c, 1])", default=1.0)
+    dispatch: str = flag(
+        "--dispatch", "async job dispatch among online idle clients: uniform, "
+        "or fairness (fewest jobs first)",
+        default="random", choices=DISPATCH_POLICIES)
+    # Aggregation topology (repro.fl.hierarchical): "hier" folds each round
+    # (sync) or buffer window (async) into n_edges edge-server FedAvg
+    # aggregates first, and the cloud strategy/defense runs over the edges.
+    topology: str = flag(
+        "--topology", "aggregation topology: flat (clients -> cloud) or hier "
+        "(clients -> edge servers -> cloud)", default="flat", choices=("flat", "hier"))
+    n_edges: int = flag("--edges", "edge-server count for --topology hier", default=2)
+    # Client materialization (repro.fleet.scale): "lazy" keeps the
+    # population virtual (O(K) resident clients, bit-identical histories).
+    fleet_mode: str = flag(
+        "--fleet-mode", "client materialization: eager builds every Client up "
+        "front; lazy materializes only each round's participants "
+        "(bit-identical history)", default="eager", choices=("eager", "lazy"))
+    # Adversarial fleet (repro.fl.robust): "none" = honest fleet, "mean" =
+    # the classic impact-factor-weighted mean; the robust defenses compose
+    # with staleness decay and server_mix="delta".
+    attack: str = flag(
+        "--attack", "adversarial fleet: poison a seeded malicious subset's data "
+        "(label_flip, backdoor) or their submitted updates (sign_flip, scale, ipm)",
+        default="none", choices=("none", *ATTACK_MODELS))
+    malicious_fraction: float = flag(
+        "--malicious-fraction", "fraction of clients the attack compromises "
+        "(seeded; at least one when an attack is set)", default=0.2)
+    attack_scale: float = flag(
+        "--attack-scale", "update-attack amplification (and backdoor "
+        "model-replacement boost when > 1)", default=1.0)
+    aggregator: str = flag(
+        "--aggregator", "server combination rule: the classic weighted mean, or "
+        "a robust defense (median, trimmed_mean, krum, multikrum, norm_clip)",
+        default="mean", choices=ROBUST_AGGREGATORS)
+    # Observability (repro.obs): None disables tracing entirely (no-op at
+    # every call site).
+    trace: str | None = flag(
+        "--trace", "stream spans/metrics to a JSONL trace at PATH (a Chrome "
+        "trace and a run manifest are written next to it)", default=None)
+    metrics_interval: float = flag(
+        "--metrics-interval", "snapshot the metrics registry into the trace "
+        "every N simulated seconds (needs --trace)", default=0.0)
+    # Fault tolerance (repro.runtime.faults): a cell's *first* attempt
+    # fails with the given probabilities, plus the parent-side recovery
+    # knobs.  All-zero probabilities keep every backend on the historical
+    # fault-free path.
+    fault_crash_prob: float = flag(
+        "--fault-crash", "per-(round, client) probability the first attempt "
+        "crashes its worker (seeded, recovered bit-identically)", default=0.0)
+    fault_exception_prob: float = flag(
+        "--fault-exception", "per-cell probability of an injected task error",
+        default=0.0)
+    fault_transient_prob: float = flag(
+        "--fault-transient", "per-cell probability of a transient failure that "
+        "clears on retry", default=0.0)
+    fault_hang_prob: float = flag(
+        "--fault-hang", "per-cell probability of an injected hang", default=0.0)
+    fault_hang_s: float = flag(
+        "--fault-hang-s", "wall seconds an injected hang stalls before raising",
+        default=0.05)
+    task_timeout_s: float | None = flag(
+        "--task-timeout", "per-task timeout in wall seconds for pooled backends "
+        "(default: wait forever)", default=None)
+    max_retries: int = flag("--max-retries", "bounded per-task retry budget", default=3)
+    # Kill-safe checkpoint/resume (repro.runtime.checkpoint).
+    checkpoint_path: str | None = flag(
+        "--checkpoint", "atomically snapshot full run state to PATH (kill-safe; "
+        "see --checkpoint-every / --resume)", default=None)
+    checkpoint_every: int = flag(
+        "--checkpoint-every", "snapshot every N rounds (sync) or aggregation "
+        "flushes (async); needs --checkpoint", default=1)
+    resume: str | None = flag(
+        "--resume", "restore run state from a snapshot and continue "
+        "(bit-identical to an uninterrupted run)", default=None)
+    # Wire-efficient uploads (repro.fl.wire): lossy codecs keep per-client
+    # error-feedback residuals unless error_feedback=False; "none"
+    # bandwidth keeps the byte-blind historical clock.
+    codec: str = flag(
+        "--codec", "upload codec for client deltas: dense float passthrough, "
+        "topk sparsification, qsgd{4,8} stochastic quantization, or "
+        "topk+qsgd{4,8} composition", default="dense", choices=WIRE_CODECS)
+    topk_frac: float = flag(
+        "--topk-frac", "topk codecs: fraction of coordinates kept", default=0.01)
+    quant_bits: int = flag(
+        "--quant-bits", "qsgd codecs without a bits suffix: quantization bit width",
+        default=8, choices=QUANT_BITS)
+    error_feedback: bool = flag(
+        "--error-feedback", "carry the lossy-codec residual into the next upload "
+        "from the same client", default=True)
+    bandwidth_model: str = flag(
+        "--bandwidth-model", "per-client link-rate model: comm time becomes "
+        "payload_bytes / bandwidth (needs --latency-model)",
+        default="none", choices=("none", *BANDWIDTH_MODELS))
+    up_mbps: float = flag("--up-mbps", "mean client uplink rate in Mbit/s", default=1.0)
+    down_mbps: float = flag(
+        "--down-mbps", "mean client downlink rate in Mbit/s", default=10.0)
+    straggler_comm_slowdown: float | None = flag(
+        "--straggler-comm-slowdown", "separate straggler multiplier for comm "
+        "phases (default: same as --straggler-slowdown)", default=None)
 
     def __post_init__(self) -> None:
-        if self.dataset not in VALID_DATASETS:
-            raise ValueError(f"dataset must be one of {VALID_DATASETS}")
-        if self.partition not in VALID_PARTITIONS:
-            raise ValueError(f"partition must be one of {VALID_PARTITIONS}")
-        if self.method not in VALID_METHODS:
-            raise ValueError(f"method must be one of {VALID_METHODS}")
-        if self.scale not in SCALES:
-            raise ValueError(f"scale must be one of {sorted(SCALES)}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices is not None and getattr(self, f.name) not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}")
+        if self.n_clients <= 0:
+            raise ValueError("n_clients must be positive")
+        if self.clients_per_round <= 0:
+            raise ValueError("clients_per_round must be positive")
         if self.clients_per_round > self.n_clients:
             raise ValueError("clients_per_round cannot exceed n_clients")
+        if self.rounds is not None and self.rounds <= 0:
+            raise ValueError("rounds must be positive when given")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.drl_pretrain_rounds < 0:
+            raise ValueError("drl_pretrain_rounds must be non-negative")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
-        if self.backend not in VALID_BACKENDS:
-            raise ValueError(f"backend must be one of {VALID_BACKENDS}")
-        if self.dtype not in VALID_DTYPES:
-            raise ValueError(f"dtype must be one of {VALID_DTYPES}")
         if self.workers is not None and self.workers <= 0:
             raise ValueError("workers must be positive when given")
-        if self.latency_model not in VALID_LATENCY_MODELS:
-            raise ValueError(f"latency_model must be one of {VALID_LATENCY_MODELS}")
-        if self.deadline_policy not in VALID_DEADLINE_POLICIES:
-            raise ValueError(f"deadline_policy must be one of {VALID_DEADLINE_POLICIES}")
         if not 0.0 <= self.straggler_fraction <= 1.0:
             raise ValueError("straggler_fraction must be in [0, 1]")
         if self.straggler_slowdown < 1.0:
@@ -299,8 +363,7 @@ class ExperimentConfig:
         ):
             raise ValueError(
                 "deadline/straggler settings have no effect without a "
-                "latency_model — pick one of "
-                f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
+                f"latency_model — pick one of {LATENCY_MODELS}"
             )
         if self.method == "feddrl" and self.deadline_policy == "drop":
             # The DRL agent's state/action dims are fixed at K; dropping
@@ -309,10 +372,6 @@ class ExperimentConfig:
                 "feddrl needs exactly K updates per round; "
                 "deadline_policy='drop' is unsupported for it (use 'wait')"
             )
-        if self.aggregation not in VALID_AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {VALID_AGGREGATIONS}")
-        if self.staleness not in VALID_STALENESS:
-            raise ValueError(f"staleness must be one of {VALID_STALENESS}")
         if self.buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
         if self.max_concurrency is not None and self.max_concurrency <= 0:
@@ -339,8 +398,7 @@ class ExperimentConfig:
                 raise ValueError(
                     "asynchronous aggregation needs a latency_model — "
                     "arrival order is defined by simulated device timing; "
-                    "pick one of "
-                    f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
+                    f"pick one of {LATENCY_MODELS}"
                 )
             if self.deadline_s is not None or self.deadline_policy != "wait":
                 raise ValueError(
@@ -366,10 +424,6 @@ class ExperimentConfig:
                 )
 
     def _validate_fleet(self) -> None:
-        if self.availability not in VALID_AVAILABILITY:
-            raise ValueError(f"availability must be one of {VALID_AVAILABILITY}")
-        if self.dispatch not in VALID_DISPATCH:
-            raise ValueError(f"dispatch must be one of {VALID_DISPATCH}")
         if not 0.0 <= self.offline_fraction < 1.0:
             raise ValueError("offline_fraction must be in [0, 1)")
         if self.churn_rate <= 0.0:
@@ -390,7 +444,7 @@ class ExperimentConfig:
             raise ValueError(
                 "fleet behavior (availability/dropout/completeness) evolves "
                 "over the virtual clock — pick a latency_model, one of "
-                f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
+                f"{LATENCY_MODELS}"
             )
         if self.method == "feddrl" and self.aggregation == "sync":
             raise ValueError(
@@ -401,12 +455,8 @@ class ExperimentConfig:
             )
 
     def _validate_scale_out(self) -> None:
-        if self.topology not in VALID_TOPOLOGIES:
-            raise ValueError(f"topology must be one of {VALID_TOPOLOGIES}")
         if self.n_edges <= 0:
             raise ValueError("n_edges must be positive")
-        if self.fleet_mode not in VALID_FLEET_MODES:
-            raise ValueError(f"fleet_mode must be one of {VALID_FLEET_MODES}")
         if self.topology == "hier":
             if self.method == "singleset":
                 raise ValueError(
@@ -460,10 +510,6 @@ class ExperimentConfig:
                 )
 
     def _validate_robust(self) -> None:
-        if self.attack not in VALID_ATTACKS:
-            raise ValueError(f"attack must be one of {VALID_ATTACKS}")
-        if self.aggregator not in VALID_AGGREGATORS:
-            raise ValueError(f"aggregator must be one of {VALID_AGGREGATORS}")
         if not 0.0 <= self.malicious_fraction < 0.5:
             raise ValueError(
                 "malicious_fraction must be in [0, 0.5) — no robust "
@@ -522,16 +568,8 @@ class ExperimentConfig:
             )
 
     def _validate_wire(self) -> None:
-        if self.codec not in VALID_CODECS:
-            raise ValueError(f"codec must be one of {VALID_CODECS}")
         if not 0.0 < self.topk_frac <= 1.0:
             raise ValueError("topk_frac must be in (0, 1]")
-        if self.quant_bits not in QUANT_BITS:
-            raise ValueError(f"quant_bits must be one of {QUANT_BITS}")
-        if self.bandwidth_model not in VALID_BANDWIDTH_MODELS:
-            raise ValueError(
-                f"bandwidth_model must be one of {VALID_BANDWIDTH_MODELS}"
-            )
         if self.up_mbps <= 0 or self.down_mbps <= 0:
             raise ValueError("up_mbps/down_mbps must be positive")
         if (
@@ -542,8 +580,7 @@ class ExperimentConfig:
         if self.bandwidth_model != "none" and self.latency_model == "none":
             raise ValueError(
                 "a bandwidth model drives the virtual clock's comm phases — "
-                "pick a latency_model, one of "
-                f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
+                f"pick a latency_model, one of {LATENCY_MODELS}"
             )
         if self.method == "singleset" and self.wire_active:
             raise ValueError(

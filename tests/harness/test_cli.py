@@ -1,6 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ class TestParser:
         assert args.backend == "serial"
         assert args.workers is None
         assert args.latency_model == "none"
-        assert args.deadline is None
+        assert args.deadline_s is None
         assert args.deadline_policy == "wait"
 
     def test_rejects_unknown_backend(self):
@@ -43,6 +45,23 @@ class TestMain:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "mnist" in out and "feddrl" in out and "CE" in out
+        # Every enumerated field is listed, not just the grid axes.
+        assert "topk+qsgd8" in out and "lognormal" in out
+        assert "--fleet-mode:" in out and "--quant-bits:" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--rounds", "0"], "rounds must be positive"),
+        (["--rounds", "-2"], "rounds must be positive"),
+        (["--per-round", "0"], "clients_per_round must be positive"),
+        (["--clients", "0", "--per-round", "0"], "n_clients must be positive"),
+        (["--seed", "-1"], "seed must be non-negative"),
+        (["--pretrain", "-3"], "drl_pretrain_rounds must be non-negative"),
+    ])
+    def test_rejects_bad_sizes_and_seeds(self, argv, message, capsys):
+        assert main(["--method", "fedavg", "--scale", "ci", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("python -m repro: error:")
+        assert message in err
 
     def test_runs_experiment_text(self, capsys):
         code = main([
@@ -95,3 +114,15 @@ class TestMain:
         ])
         payload = json.loads(capsys.readouterr().out)
         assert "accuracy_series" not in payload
+
+
+def test_readme_documents_every_flag():
+    readme = (Path(__file__).parents[2] / "README.md").read_text()
+    section = readme.split("## CLI flags", 1)[1].split("\n#", 1)[0]
+    documented = set(re.findall(r"`(--[a-z0-9-]+)`", section))
+    options = {
+        opt for action in build_parser()._actions
+        for opt in action.option_strings if opt.startswith("--")
+    }
+    missing = options - documented - {"--help"}
+    assert not missing, sorted(missing)
