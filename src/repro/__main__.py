@@ -16,7 +16,7 @@ Examples::
     python -m repro --method fedavg --latency-model lognormal \
         --trace run.trace.jsonl --metrics-interval 10
     python -m repro trace-summary run.trace.jsonl
-    python -m repro --list            # show the valid grid values
+    python -m repro --list            # show every enumerated flag's values
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
 
 # Config fields that declare a flag (see repro.harness.config.flag).
-FLAG_FIELDS = tuple(
+_FLAG_FIELDS = tuple(
     f for f in dataclasses.fields(ExperimentConfig) if "flag" in f.metadata
 )
 
@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="FedDRL reproduction: run one dataset x partition x method cell.",
     )
     hints = typing.get_type_hints(ExperimentConfig)
-    for f in FLAG_FIELDS:
+    for f in _FLAG_FIELDS:
         meta = f.metadata
         kwargs = {"dest": f.name, "default": f.default, "help": meta["help"]}
         if hints[f.name] is bool:
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable result")
     parser.add_argument("--list", action="store_true",
-                        help="print the valid grid values and exit")
+                        help="print the values of every enumerated flag and exit")
     return parser
 
 
@@ -96,14 +96,16 @@ def main(argv: list[str] | None = None) -> int:
         return trace_summary_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.list:
-        for f in FLAG_FIELDS:
+        for f in _FLAG_FIELDS:
             if f.metadata["choices"] is not None:
                 values = ", ".join(map(str, f.metadata["choices"]))
                 print(f"{f.metadata['flag'] + ':':<20}{values}")
         return 0
 
     try:
-        cfg = ExperimentConfig(**{f.name: getattr(args, f.name) for f in FLAG_FIELDS})
+        cfg = ExperimentConfig(
+            **{f.name: getattr(args, f.name) for f in _FLAG_FIELDS}
+        )
     except ValueError as err:
         # Cross-flag constraints (K <= N, drop needs a deadline, ...) live
         # in the config layer; report them CLI-style. Errors raised later,

@@ -32,17 +32,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(delta=0.0)
 
-    @pytest.mark.parametrize("kwargs, message", [
-        (dict(rounds=0), "rounds must be positive"),
-        (dict(n_clients=0, clients_per_round=0), "n_clients must be positive"),
-        (dict(clients_per_round=0), "clients_per_round must be positive"),
-        (dict(seed=-1), "seed must be non-negative"),
-        (dict(drl_pretrain_rounds=-3), "drl_pretrain_rounds must be non-negative"),
-    ])
-    def test_rejects_bad_sizes_and_seeds(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            ExperimentConfig(**kwargs)
-
     def test_choices_checked_for_every_enumerated_field(self):
         with pytest.raises(ValueError, match=r"quant_bits must be one of \(4, 8\)"):
             ExperimentConfig(quant_bits=6)
